@@ -28,10 +28,6 @@ inline constexpr std::string_view kSpanNames[] = {
     "control.replan", // controller: one enforced-waits re-solve (host)
     "journal.commit", // arrival journal: one group-commit write (host)
     "journal.snapshot", // arrival journal: one controller snapshot (host)
-    "runtime.wave",   // parallel executor: one shadow-planner dispatch batch
-                      // (host; emitted only with trace_workers)
-    "runtime.task",   // worker pool: one stage-firing task execution (host;
-                      // on the per-worker "runtime.worker<k>" track)
     "graph.fire",     // graph sim/executor: one SISO-node firing (sim domain)
     "graph.tee",      // graph sim/executor: one tee-node firing (sim domain)
     "graph.merge",    // graph sim/executor: one elementwise-merge firing
@@ -53,8 +49,6 @@ inline constexpr std::string_view kCounterNames[] = {
     "queue_depth",        // sim/runtime: node input-queue depth at firing
     "block_items",        // monolithic sim: items per block
     "control.tau0_est",   // controller: EWMA inter-arrival estimate
-    "runtime.steal",      // parallel executor: cumulative cross-worker deque
-                          // steals (host; emitted only with trace_workers)
     "graph.queue_depth",  // graph sim/executor: per-in-edge queue depth at
                           // firing (edge track id = node count + edge index;
                           // the source's arrival queue reports on its node
@@ -68,6 +62,29 @@ inline constexpr std::string_view kCounterNames[] = {
 //   service.shard.admitted     — sessions admitted after the global apportion
 inline constexpr std::string_view kCounterFamilies[] = {
     "service.shard.",
+};
+
+// Registry metric names (obs::Registry counters, gauges, histograms). The
+// per-kernel gauges "device.dispatch.variant.<kernel>" form a family and are
+// not listed one by one.
+inline constexpr std::string_view kMetricNames[] = {
+    "trials.completed",
+    "trials.trial_wall_us",
+    "sweep.cells_solved",
+    "sweep.warm_hinted_solves",
+    "sweep.cold_solves",
+    "sweep.cell_solve_us",
+    "sweep.active_workers",
+    "control.replans",
+    "control.replan_wall_us",
+    "service.shed",
+    "service.notify.coalesced",
+    "service.failed_batches",  // batches lost to a stage throw or event budget
+    "net.protocol_errors",
+    "journal.commits",
+    "device.dispatch.resolves",
+    "device.dispatch.autotune_wall_us",
+    "device.dispatch.autotuned_kernels",
 };
 
 inline bool is_known_span(std::string_view name) {

@@ -1,11 +1,10 @@
-// Shared internals of the two PipelineExecutor engines.
+// Shared internals of the vector-wide executors.
 //
-// The sequential engine (pipeline_executor.cpp) and the task-parallel
-// committer (pipeline_executor_parallel.cpp) must replay the *same* virtual
-// event loop — same event kinds, same priorities, same validation, same
-// sink-side materialization — for the parallel engine's bit-identity
-// guarantee to hold. The pieces both translation units replicate live here
-// so they cannot drift apart.
+// The chain engine (pipeline_executor.cpp) and the DAG engine
+// (graph/graph_executor.cpp) replay the same virtual event loop — same event
+// kinds, same priorities — and linear graphs must delegate between them bit
+// for bit. The pieces both translation units use live here so they cannot
+// drift apart.
 #pragma once
 
 #include <array>

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <exception>
-#include <thread>
 
 #include "runtime/executor_internal.hpp"
 #include "runtime/soa_queue.hpp"
-#include "runtime/stage_scheduler.hpp"
 #include "sim/event_queue.hpp"
 #include "util/assert.hpp"
 
@@ -80,17 +78,6 @@ PipelineExecutor::PipelineExecutor(sdf::PipelineSpec spec,
   validate_stages(pipeline_, stages_);
 }
 
-PipelineExecutor::~PipelineExecutor() = default;
-
-StageScheduler& PipelineExecutor::acquire_scheduler(std::size_t workers) const {
-  std::lock_guard<std::mutex> lock(scheduler_mutex_);
-  if (scheduler_ == nullptr || scheduler_->worker_count() != workers) {
-    scheduler_.reset();  // quiesced between runs; join before respawn
-    scheduler_ = std::make_unique<StageScheduler>(workers);
-  }
-  return *scheduler_;
-}
-
 util::Result<ExecutionMetrics> PipelineExecutor::run(
     std::vector<Item> inputs, const ExecutorConfig& config) const {
   RIPPLE_REQUIRE(stages_.front().carries_items,
@@ -114,13 +101,6 @@ util::Result<ExecutionMetrics> PipelineExecutor::execute(
       typed_inputs != nullptr ? typed_inputs->size() : item_inputs->size();
   if (auto invalid = detail::validate_run_config(pipeline_, input_count, config)) {
     return *std::move(invalid);
-  }
-  const std::size_t threads =
-      config.exec_threads == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : config.exec_threads;
-  if (threads > 1) {
-    return execute_parallel(typed_inputs, item_inputs, config, threads);
   }
   const bool per_input_gaps = !config.input_gaps.empty();
 

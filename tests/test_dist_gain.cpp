@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iomanip>
 #include <memory>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -185,6 +187,13 @@ struct MomentCase {
   const char* label;
   GainPtr gain;
 };
+
+// Without this, gtest prints the case as its raw bytes, which hold heap and
+// string addresses: the discovered test names would then change per build.
+void PrintTo(const MomentCase& c, std::ostream* os) {
+  *os << "mean " << std::setprecision(3) << c.gain->mean() << " max "
+      << c.gain->max_outputs();
+}
 
 class GainMoments : public ::testing::TestWithParam<MomentCase> {};
 

@@ -4,12 +4,19 @@
 
 #include <any>
 #include <cstdint>
+#include <cstring>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dist/gain.hpp"
 #include "graph/scenarios.hpp"
+
+#if RIPPLE_OBS
+#include "obs/obs.hpp"
+#include "obs/trace_export.hpp"
+#endif
 
 namespace ripple::graph {
 namespace {
@@ -109,6 +116,137 @@ TEST(Golden, TelemetryFaninVectorMatchesReference) {
   EXPECT_EQ(base.nodes[5].items_consumed, 900u);
 }
 
+// ---------------------------------------------------------------------------
+// Golden digests: the DAG engine's complete observable output, pinned to
+// values recorded from an earlier build. Any change to results, per-node
+// counters, latency accounting, or (on RIPPLE_OBS builds) the exported trace
+// bytes breaks the digest, so engine refactors must replay the event loop
+// exactly.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a 64 over raw bytes.
+class Digest {
+ public:
+  void bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ p[i]) * 0x100000001b3ull;
+    }
+  }
+  void u64(std::uint64_t x) { bytes(&x, sizeof x); }
+  void f64(double x) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    u64(bits);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t execution_digest(const runtime::ExecutionMetrics& run) {
+  Digest d;
+  for (const Item& result : run.results) {
+    d.u64(std::any_cast<std::uint64_t>(result));
+  }
+  const sim::TrialMetrics& base = run.base;
+  for (const sim::NodeMetrics& node : base.nodes) {
+    d.u64(node.firings);
+    d.u64(node.empty_firings);
+    d.u64(node.items_consumed);
+    d.u64(node.items_produced);
+    d.f64(node.active_time);
+    d.u64(node.max_queue_length);
+  }
+  d.u64(base.inputs_arrived);
+  d.u64(base.inputs_on_time);
+  d.u64(base.inputs_missed);
+  d.u64(base.sink_outputs);
+  d.u64(base.output_latency.count());
+  d.f64(base.output_latency.mean());
+  d.f64(base.output_latency.variance());
+  d.f64(base.output_latency.min());
+  d.f64(base.output_latency.max());
+  EXPECT_TRUE(base.latency_histogram.has_value());
+  if (base.latency_histogram.has_value()) {
+    const dist::Histogram& hist = *base.latency_histogram;
+    for (std::size_t b = 0; b < hist.bin_count(); ++b) d.u64(hist.bin(b));
+  }
+  d.f64(base.makespan);
+  d.u64(base.vector_width);
+  d.u64(base.events_processed);
+  return d.value();
+}
+
+struct DigestCase {
+  const char* label;
+  double interval_scale;
+  Cycles input_gap;
+  Cycles deadline;
+  std::size_t inputs;
+  std::uint64_t seed;
+  std::uint64_t execution;  ///< execution_digest of the run
+  std::uint64_t trace;      ///< digest of the exported trace (RIPPLE_OBS)
+};
+
+void expect_digests(GraphScenario scenario, const DigestCase& c) {
+  SCOPED_TRACE(c.label);
+  const GraphExecutor executor(scenario.graph, scenario.stages);
+  const GraphExecutorConfig config = scenario_config(
+      scenario.graph, c.interval_scale, c.input_gap, c.deadline);
+  auto run = executor.run(scenario_inputs(c.inputs, c.seed), config);
+  ASSERT_TRUE(run.ok()) << run.error().message;
+  EXPECT_GT(run.value().base.inputs_missed, 0u);
+  EXPECT_LT(run.value().base.inputs_missed, c.inputs);
+  EXPECT_EQ(execution_digest(run.value()), c.execution)
+      << std::hex << "execution digest 0x" << execution_digest(run.value());
+
+#if RIPPLE_OBS
+  obs::TraceSession::global().clear();
+  obs::set_enabled(true);
+  auto traced = executor.run(scenario_inputs(c.inputs, c.seed), config);
+  obs::set_enabled(false);
+  ASSERT_TRUE(traced.ok()) << traced.error().message;
+  EXPECT_EQ(execution_digest(traced.value()), c.execution);
+  auto& session = obs::TraceSession::global();
+  const auto events = session.drain();
+  EXPECT_EQ(session.dropped(), 0u);
+  ASSERT_GT(events.size(), 0u);
+  std::ostringstream out;
+  obs::write_chrome_trace(out, events, session);
+  session.clear();
+  Digest d;
+  const std::string bytes = out.str();
+  d.bytes(bytes.data(), bytes.size());
+  EXPECT_EQ(d.value(), c.trace) << std::hex << "trace digest 0x" << d.value();
+#endif
+}
+
+TEST(GoldenDigest, BranchingBlastMatchesRecordedDigests) {
+  const DigestCase cases[] = {
+      {"scale 1.25 gap 20", 1.25, 20.0, 3700.0, 400, 11,
+       0x129b028832a7feb3ull, 0x60dce8386b932faeull},
+      {"scale 1.1 gap 4", 1.1, 4.0, 4000.0, 300, 12,
+       0xe5c0b23500dbe592ull, 0xddc465f362ee8169ull},
+  };
+  for (const DigestCase& c : cases) {
+    expect_digests(branching_blast_scenario(), c);
+  }
+}
+
+TEST(GoldenDigest, TelemetryFaninMatchesRecordedDigests) {
+  const DigestCase cases[] = {
+      {"scale 1.2 gap 12", 1.2, 12.0, 2550.0, 300, 13,
+       0x284feb69de5495d1ull, 0xff0486b5d0f69666ull},
+      {"scale 1.5 gap 5", 1.5, 5.0, 3440.0, 300, 14,
+       0x3ea3de81304e8722ull, 0xe2a6bb6fd951ed38ull},
+  };
+  for (const DigestCase& c : cases) {
+    expect_digests(telemetry_fanin_scenario(), c);
+  }
+}
+
 /// Small linear chain with real per-item stages, for the delegation tests.
 GraphScenario linear_scenario() {
   auto built = GraphBuilder("linear_hash")
@@ -150,45 +288,6 @@ TEST(LinearDelegation, ChainRunMatchesReferenceOracle) {
   auto reference = executor.run_reference(scenario_inputs(250, 3), config);
   ASSERT_TRUE(reference.ok()) << reference.error().message;
   expect_same_execution(reference.value(), delegated.value());
-}
-
-TEST(LinearDelegation, ParallelChainRunStaysIdentical) {
-  GraphScenario scenario = linear_scenario();
-  const GraphExecutor executor(scenario.graph, scenario.stages);
-  GraphExecutorConfig config = scenario_config(scenario.graph, 1.5, 5.0);
-  auto sequential = executor.run(scenario_inputs(250, 3), config);
-  ASSERT_TRUE(sequential.ok());
-  config.exec_threads = 4;
-  auto parallel = executor.run(scenario_inputs(250, 3), config);
-  ASSERT_TRUE(parallel.ok());
-  expect_same_execution(sequential.value(), parallel.value());
-}
-
-TEST(Determinism, ThreadCountNeverChangesResults) {
-  // 12 randomized trials over both branching scenarios: vary the input seed,
-  // arrival spacing, and interval slack, and require exec_threads in
-  // {2, 4, 8} to reproduce the single-threaded run bit for bit.
-  for (std::uint64_t trial_seed = 0; trial_seed < 12; ++trial_seed) {
-    GraphScenario scenario = (trial_seed % 2 == 0)
-                                 ? branching_blast_scenario()
-                                 : telemetry_fanin_scenario();
-    const double scale = 1.1 + 0.1 * static_cast<double>(trial_seed % 5);
-    const Cycles gap = 6.0 + 3.0 * static_cast<double>(trial_seed % 4);
-    GraphExecutorConfig config = scenario_config(scenario.graph, scale, gap);
-    const std::size_t count = 96 + 16 * (trial_seed % 3);
-    const GraphExecutor executor(scenario.graph, scenario.stages);
-
-    auto golden = executor.run(scenario_inputs(count, trial_seed), config);
-    ASSERT_TRUE(golden.ok()) << trial_seed << ": " << golden.error().message;
-    for (std::size_t threads : {2u, 4u, 8u}) {
-      config.exec_threads = threads;
-      auto parallel = executor.run(scenario_inputs(count, trial_seed), config);
-      ASSERT_TRUE(parallel.ok())
-          << trial_seed << " threads=" << threads << ": "
-          << parallel.error().message;
-      expect_same_execution(golden.value(), parallel.value());
-    }
-  }
 }
 
 TEST(Errors, StageExceptionNamesTheNode) {

@@ -4,6 +4,7 @@
 // runs to validate the lock/atomic discipline.
 #include <gtest/gtest.h>
 
+#include <any>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -14,6 +15,17 @@
 #include "dist/gain.hpp"
 #include "sdf/pipeline.hpp"
 #include "service/service.hpp"
+
+#if RIPPLE_OBS
+#include <algorithm>
+#include <iterator>
+#include <sstream>
+#include <string>
+
+#include "obs/names.hpp"
+#include "obs/obs.hpp"
+#include "util/jsonv.hpp"
+#endif
 
 namespace ripple::service {
 namespace {
@@ -416,94 +428,76 @@ TEST(ServiceShardedTest, MultiShardSoakConservesItems) {
   EXPECT_EQ(shard_items, stats.executed_items);
 }
 
-// Deterministic parity: the same submission sequence drained through the
-// task-parallel executor (exec_threads = 4) must produce exactly the stats
-// the sequential engine produces. Single shard, single driving thread, so
-// any divergence is the parallel engine's fault, not scheduling noise.
-TEST(ServiceParallelTest, DrainOnceMatchesSequentialEngine) {
+// A stage that throws fails its whole batch. The loss is counted per shard
+// (and in the registry on instrumented builds) instead of vanishing, and the
+// failed items still count as executed, so executed == accepted holds.
+TEST(ServiceLiveTest, FailedBatchesAreCounted) {
   const sdf::PipelineSpec spec = make_spec();
-  ServiceStats got[2];
-  for (int variant = 0; variant < 2; ++variant) {
-    ServiceConfig config = base_config();
-    config.exec_threads = variant == 0 ? 1 : 4;
-    PipelineService service(spec, synthetic_stages(spec), config);
-    const SessionId a = service.open_session();
-    const SessionId b = service.open_session();
-    for (int round = 0; round < 10; ++round) {
-      service.submit(round % 2 == 0 ? a : b, make_items(16));
-    }
-    service.drain_once();
-    got[variant] = service.stats();
-  }
-  EXPECT_EQ(got[0].submitted, got[1].submitted);
-  EXPECT_EQ(got[0].accepted, got[1].accepted);
-  EXPECT_EQ(got[0].executed_items, got[1].executed_items);
-  EXPECT_EQ(got[0].sink_outputs, got[1].sink_outputs);
-  EXPECT_EQ(got[0].batches, got[1].batches);
-}
-
-// The cross-product soak the CI TSan job runs: two shard workers, each
-// driving a four-thread task-parallel executor (committer + three pool
-// workers), with concurrent producers and a stats reader. Exercises the
-// work-stealing deques and the commit protocol under real contention; item
-// conservation must hold globally.
-TEST(ServiceParallelTest, ShardedParallelExecutorSoakConservesItems) {
-  const sdf::PipelineSpec spec = make_spec();
+  constexpr std::uint64_t kPoison = 13;
+  const StageFactory factory = [&spec](std::size_t) {
+    std::vector<runtime::StageFn> stages = synthetic_stages(spec);
+    stages[0] = [next = stages[0]](runtime::Item&& input,
+                                   std::vector<runtime::Item>& outputs) {
+      if (std::any_cast<std::uint64_t>(input) == kPoison) {
+        throw std::runtime_error("poison item");
+      }
+      next(std::move(input), outputs);
+    };
+    return stages;
+  };
   ServiceConfig config = base_config();
   config.shards = 2;
-  config.exec_threads = 4;
-  PipelineService service(spec, synthetic_stage_factory(spec), config);
-  service.start();
-
-  constexpr int kProducers = 4;
-  constexpr int kRounds = 40;
-  constexpr std::size_t kBatch = 8;
-
-  std::atomic<bool> stop_reader{false};
-  std::thread reader([&] {
-    while (!stop_reader.load(std::memory_order_relaxed)) {
-      const ServiceStats stats = service.stats();
-      ASSERT_LE(stats.accepted, stats.submitted);
-      for (std::size_t s = 0; s < service.shards(); ++s) {
-        (void)service.shard_stats(s);
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+  config.batch_size = 8;
+  PipelineService service(spec, factory, config);
+  const SessionId id = service.open_session();
+#if RIPPLE_OBS
+  obs::Registry::global().reset_values();
+  obs::set_enabled(true);
+#endif
+  const std::size_t accepted = service.submit(id, make_items(40)).accepted;
+  ASSERT_EQ(accepted, 40u);
+  EXPECT_EQ(service.drain_once(), accepted);
+#if RIPPLE_OBS
+  obs::set_enabled(false);
+  EXPECT_EQ(obs::Registry::global().counter("service.failed_batches")->value(),
+            1u);
+  // Every registered metric, the new counter included, is in the catalog.
+  std::ostringstream dump;
+  obs::Registry::global().write_json(dump);
+  auto parsed = util::parse_json(dump.str());
+  ASSERT_TRUE(parsed.ok());
+  for (const char* kind : {"counters", "gauges", "histograms"}) {
+    for (const util::JsonValue& metric :
+         parsed.value().find(kind)->as_array()) {
+      const std::string name = metric.string_or("name", "");
+      EXPECT_NE(std::find(std::begin(obs::names::kMetricNames),
+                          std::end(obs::names::kMetricNames), name),
+                std::end(obs::names::kMetricNames))
+          << name;
     }
-  });
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      const SessionId a = service.open_session();
-      const SessionId b = service.open_session();
-      for (int round = 0; round < kRounds; ++round) {
-        service.submit(round % 2 == 0 ? a : b, make_items(kBatch));
-        if (round % 4 == p % 4) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-      }
-      service.close_session(a);
-      service.close_session(b);
-    });
   }
+#endif
 
-  for (std::thread& producer : producers) producer.join();
-  service.stop();
-  stop_reader.store(true);
-  reader.join();
-
+  // Items 8..15 share the poisoned batch; the other four batches run.
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.submitted,
-            stats.accepted + stats.rejected_backpressure + stats.shed);
+  EXPECT_EQ(stats.batches, 5u);
+  EXPECT_EQ(stats.failed_batches, 1u);
+  EXPECT_EQ(stats.failed_items, 8u);
   EXPECT_EQ(stats.executed_items, stats.accepted);
-  EXPECT_EQ(stats.sink_outputs, 2 * stats.executed_items);
-  EXPECT_EQ(stats.open_sessions, 0u);
+  EXPECT_EQ(stats.sink_outputs, 2 * (stats.executed_items - 8));
 
-  std::size_t shard_items = 0;
+  const std::size_t home = service.shard_of(id);
   for (std::size_t s = 0; s < service.shards(); ++s) {
-    shard_items += service.shard_stats(s).executed_items;
+    const ShardStats shard = service.shard_stats(s);
+    EXPECT_EQ(shard.failed_batches, s == home ? 1u : 0u) << s;
+    EXPECT_EQ(shard.failed_items, s == home ? 8u : 0u) << s;
   }
-  EXPECT_EQ(shard_items, stats.executed_items);
+
+  // The executor stays usable: a clean follow-up batch runs normally.
+  EXPECT_EQ(service.submit(id, make_items(4)).accepted, 4u);
+  EXPECT_EQ(service.drain_once(), 4u);
+  EXPECT_EQ(service.stats().failed_batches, 1u);
+  EXPECT_EQ(service.stats().executed_items, 44u);
 }
 
 TEST(ServiceLiveTest, RejectsMalformedConfig) {
@@ -533,11 +527,6 @@ TEST(ServiceLiveTest, RejectsMalformedConfig) {
   ServiceConfig sharded = base_config();
   sharded.shards = 2;
   EXPECT_THROW(PipelineService(spec, synthetic_stages(spec), sharded),
-               std::logic_error);
-
-  ServiceConfig wide = base_config();
-  wide.exec_threads = 257;  // above the sanity cap (0 = hardware concurrency)
-  EXPECT_THROW(PipelineService(spec, synthetic_stages(spec), wide),
                std::logic_error);
 }
 
