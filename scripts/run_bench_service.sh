@@ -9,16 +9,24 @@
 # and the loopback TCP ingest throughput through src/net's epoll front door (bar: >= 1M
 # items/s with the controller live).
 #
+# Every bar is a gate: the script exits non-zero when any bar is missed or
+# its row is absent, and when bench_service crashes or outlives its timeout
+# (a hung benchmark counts as a failure, and the committed JSON is then left
+# untouched).
+#
 # Usage: scripts/run_bench_service.sh [build-dir] [min-time]
 #   build-dir  defaults to ./build-bench (configured Release if missing —
 #              benchmarks from a Debug tree are meaningless)
 #   min-time   defaults to 0.5 (seconds per benchmark, forwarded to
 #              --benchmark_min_time)
+# Environment: BENCH_TIMEOUT_S (default 600) bounds the bench_service run.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${1:-${REPO_ROOT}/build-bench}"
 MIN_TIME="${2:-0.5}"
+BENCH_TIMEOUT_S="${BENCH_TIMEOUT_S:-600}"
+OUT="${REPO_ROOT}/BENCH_service.json"
 
 if [[ ! -f "${BUILD_DIR}/CMakeCache.txt" ]]; then
   cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DCMAKE_BUILD_TYPE=Release
@@ -28,14 +36,36 @@ if ! grep -q "CMAKE_BUILD_TYPE:STRING=Release" "${BUILD_DIR}/CMakeCache.txt"; th
 fi
 cmake --build "${BUILD_DIR}" --target bench_service -j"$(nproc)"
 
-"${BUILD_DIR}/bench/bench_service" \
+RAW="$(mktemp)"
+trap 'rm -f "${RAW}"' EXIT
+status=0
+timeout --kill-after=10 "${BENCH_TIMEOUT_S}" "${BUILD_DIR}/bench/bench_service" \
   --benchmark_min_time="${MIN_TIME}" \
   --benchmark_repetitions=1 \
-  --benchmark_out="${REPO_ROOT}/BENCH_service.json" \
-  --benchmark_out_format=json
+  --benchmark_out="${RAW}" \
+  --benchmark_out_format=json || status=$?
+if (( status == 124 || status == 137 )); then
+  echo "[FAIL] bench_service did not finish within ${BENCH_TIMEOUT_S} s" >&2
+  exit 1
+elif (( status != 0 )); then
+  echo "[FAIL] bench_service exited with status ${status}" >&2
+  exit 1
+fi
+cp "${RAW}" "${OUT}"
 
-python3 - "${REPO_ROOT}/BENCH_service.json" <<'PY'
+gates=0
+python3 - "${OUT}" <<'PY' || gates=$?
 import json, sys
+
+failures = []
+
+
+def gate(label, ok):
+    """Print the verdict tag and remember a missed bar."""
+    if not ok:
+        failures.append(label)
+    return "PASS" if ok else "FAIL"
+
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
@@ -63,7 +93,10 @@ if tick and gap and static:
     # conditioned than subtracting two ~60 us chunk timings on a noisy host.
     overhead = (tick + CHUNK * gap) / static * 100.0
     print(f"closed-loop steady-state overhead vs static plan: "
-          f"{overhead:.2f}% (bar: < 2%)")
+          f"{overhead:.2f}% (bar: < 2%) "
+          f"[{gate('closed-loop overhead', overhead < 2.0)}]")
+else:
+    gate("closed-loop overhead (rows missing)", False)
 if loop and static:
     print(f"  (subtractive cross-check: {(loop - static) / static * 100.0:.2f}%"
           f" — noisier)")
@@ -86,12 +119,13 @@ if legacy:
         worst = speedup if worst is None else min(worst, speedup)
         print(f"  mpsc {shards} shard(s):   {rate / 1e6:.2f} M items/s "
               f"({speedup:.1f}x vs legacy)")
-    eight = rates.get("BM_IngestMpscDrain/8")
-    if eight:
-        ratio = eight / legacy
-        bar = "PASS" if ratio >= 4.0 else "FAIL"
-        print(f"  8-shard drain vs legacy single-worker: {ratio:.1f}x "
-              f"(bar: >= 4x) [{bar}]")
+eight = rates.get("BM_IngestMpscDrain/8")
+if legacy and eight:
+    ratio = eight / legacy
+    print(f"  8-shard drain vs legacy single-worker: {ratio:.1f}x "
+          f"(bar: >= 4x) [{gate('8-shard drain', ratio >= 4.0)}]")
+else:
+    gate("8-shard drain (rows missing)", False)
 
 svc = {s: rates.get(f"BM_ServiceDrainSharded/{s}") for s in (1, 2, 4, 8)}
 if any(svc.values()):
@@ -106,9 +140,16 @@ if submit:
 
 loopback = rates.get("BM_LoopbackIngest")
 if loopback:
-    bar = "PASS" if loopback >= 1e6 else "FAIL"
     print(f"loopback TCP ingest (epoll front door, controller live): "
-          f"{loopback / 1e6:.2f} M items/s (bar: >= 1M items/s) [{bar}]")
+          f"{loopback / 1e6:.2f} M items/s (bar: >= 1M items/s) "
+          f"[{gate('loopback ingest', loopback >= 1e6)}]")
+else:
+    gate("loopback ingest (row missing)", False)
+
+if failures:
+    print("\n[FAIL] missed bars: " + ", ".join(failures), file=sys.stderr)
+    sys.exit(1)
 PY
 
-echo "Wrote ${REPO_ROOT}/BENCH_service.json"
+echo "Wrote ${OUT}"
+exit "${gates}"

@@ -22,25 +22,23 @@
 //                    k moves to out-edge j, so every stream advances by the
 //                    same matched count and batch boundaries realign.
 //
-// A linear graph delegates wholesale to PipelineExecutor on the lowered
-// PipelineSpec (stages wrapped through the per-item adapter), so results,
-// metrics, and exported traces on chains are bit-identical to the existing
-// engine.
-//
-// Branching graphs run the DAG-native engine on the calling thread: each
-// fire-start, in event-pop order, hands its stage the consumed lanes
-// straight from its in-edge queues, one lane at a time, and commits the
-// outputs to its in-flight emitters. Parallelism comes from running independent executors side by
-// side (one per service shard), not from inside one run.
+// GraphExecutor is a thin front-end: it describes the graph as engine
+// topology (one item queue per edge plus the source's arrival queue, each
+// stage wrapped as a BatchStage once, at construction) and runs it on the
+// event loop it shares with runtime::PipelineExecutor
+// (runtime/executor_internal.hpp), on the calling thread. Every graph runs
+// there, linear ones included. Parallelism comes from running independent
+// executors side by side (one per service shard), not from inside one run.
 //
 // run_reference() is the seed-style per-item oracle: one std::deque of
 // (item, root) per edge, the same event cadence, scalar stage calls. The
 // vector engine is golden-tested against it (tests/test_graph_executor.cpp).
 //
-// On RIPPLE_OBS builds each consuming firing emits the kind-specific span
-// ("graph.fire" / "graph.tee" / "graph.merge" / "graph.sync") on the node's
-// track and "graph.queue_depth" counter samples per in-edge (edge track id =
-// node count + edge index), mirroring the stochastic graph simulator.
+// On RIPPLE_OBS builds each consuming firing (linear graphs included) emits
+// the kind-specific span ("graph.fire" / "graph.tee" / "graph.merge" /
+// "graph.sync") on the node's track and "graph.queue_depth" counter samples
+// per in-edge (edge track id = node count + edge index), mirroring the
+// stochastic graph simulator.
 #pragma once
 
 #include <functional>
@@ -63,17 +61,9 @@ using runtime::Item;
 using GraphStageFn =
     std::function<void(std::vector<Item>&& inputs, std::vector<Item>& outputs)>;
 
-struct GraphExecutorConfig {
-  std::vector<Cycles> firing_intervals;  ///< x_u per node, by graph index
-  Cycles input_gap = 1.0;                ///< virtual cycles between inputs
-  /// Optional irregular arrival schedule (one positive gap per input); when
-  /// non-empty `input_gap` is ignored.
-  std::vector<Cycles> input_gaps;
-  Cycles deadline = 0.0;  ///< 0 = no miss accounting
-  bool charge_empty_firings = true;
-  std::size_t max_collected_results = 1024;
-  std::uint64_t max_events = 500'000'000;
-};
+/// The chain executor's run configuration, with firing_intervals indexed by
+/// graph node index.
+using GraphExecutorConfig = runtime::ExecutorConfig;
 
 class GraphExecutor {
  public:
@@ -82,13 +72,11 @@ class GraphExecutor {
   /// violated.
   GraphExecutor(GraphSpec graph, std::vector<GraphStageFn> stages);
 
+  ~GraphExecutor();
   GraphExecutor(const GraphExecutor&) = delete;
   GraphExecutor& operator=(const GraphExecutor&) = delete;
 
   const GraphSpec& graph() const noexcept { return graph_; }
-
-  /// True when run() delegates to the linear-chain PipelineExecutor.
-  bool delegates_to_chain() const noexcept { return linear_ != nullptr; }
 
   /// Run inputs through the graph in virtual time. Node metrics in the
   /// result are indexed by graph node index. Failure codes: "bad_config",
@@ -97,22 +85,14 @@ class GraphExecutor {
       std::vector<Item> inputs, const GraphExecutorConfig& config) const;
 
   /// Per-item oracle: identical results and metrics to run(), computed by
-  /// the scalar seed-style engine. Never delegates — on linear graphs this
-  /// independently cross-checks the chain delegation.
+  /// the scalar seed-style engine.
   util::Result<runtime::ExecutionMetrics> run_reference(
       std::vector<Item> inputs, const GraphExecutorConfig& config) const;
 
  private:
-  util::Result<runtime::ExecutionMetrics> execute_dag(
-      std::vector<Item>& inputs, const GraphExecutorConfig& config) const;
-
   GraphSpec graph_;
-  std::vector<GraphStageFn> stages_;
-
-  // Linear delegation: chain position -> graph node index, plus the wrapped
-  // chain executor over the lowered pipeline.
-  std::vector<NodeIndex> chain_order_;
-  std::unique_ptr<runtime::PipelineExecutor> linear_;
+  std::vector<GraphStageFn> stages_;  ///< as registered, for run_reference()
+  std::unique_ptr<const runtime::detail::EngineTopology> topology_;
 };
 
 }  // namespace ripple::graph

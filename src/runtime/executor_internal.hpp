@@ -1,15 +1,16 @@
-// Shared internals of the vector-wide executors.
+// The vector-wide event loop shared by PipelineExecutor and GraphExecutor.
 //
-// The chain engine (pipeline_executor.cpp) and the DAG engine
-// (graph/graph_executor.cpp) replay the same virtual event loop — same event
-// kinds, same priorities — and linear graphs must delegate between them bit
-// for bit. The pieces both translation units use live here so they cannot
-// drift apart.
+// Both front-ends describe their topology as plain data — nodes with service
+// times, in- and out-queue indices and a BatchStage, queues with their trace
+// labels — and run it through run_engine(). A chain is the single-path case:
+// queue i feeds node i, node i feeds queue i+1. The loop never asks which
+// front-end built the topology.
 #pragma once
 
-#include <array>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "runtime/pipeline_executor.hpp"
 
@@ -29,45 +30,54 @@ struct EventPayload {
   NodeIndex node = 0;
 };
 
-inline Item default_materialize(const std::uint32_t* fields) {
-  std::array<std::uint32_t, kMaxLaneFields> tuple{};
-  for (std::size_t f = 0; f < kMaxLaneFields; ++f) tuple[f] = fields[f];
-  return Item(tuple);
-}
+/// One lane queue between nodes, as the trace sees it.
+struct EngineQueue {
+  std::uint32_t track = 0;  ///< trace track of its depth counter
+  const char* counter = "queue_depth";
+  std::string track_label;  ///< names `track` on the trace when non-empty
+};
 
-/// Shared run-config validation. Returns the failure to propagate, or
-/// nullopt when the configuration is runnable.
-inline std::optional<util::Result<ExecutionMetrics>> validate_run_config(
-    const sdf::PipelineSpec& pipeline, std::size_t input_count,
-    const ExecutorConfig& config) {
-  using R = util::Result<ExecutionMetrics>;
-  const std::size_t n = pipeline.size();
-  if (config.firing_intervals.size() != n) {
-    return R::failure("bad_config", "one firing interval per node required");
-  }
-  for (NodeIndex i = 0; i < n; ++i) {
-    if (config.firing_intervals[i] < pipeline.service_time(i) - 1e-9) {
-      return R::failure("bad_config",
-                        "firing interval below service time at node " +
-                            std::to_string(i));
-    }
-  }
-  if (input_count == 0) {
-    return R::failure("bad_config", "need at least one input");
-  }
-  if (!config.input_gaps.empty()) {
-    if (config.input_gaps.size() != input_count) {
-      return R::failure("bad_config", "one arrival gap per input required");
-    }
-    for (Cycles gap : config.input_gaps) {
-      if (!(gap > 0.0)) {
-        return R::failure("bad_config", "arrival gaps must be positive");
-      }
-    }
-  } else if (!(config.input_gap > 0.0)) {
-    return R::failure("bad_config", "input gap must be positive");
-  }
-  return std::nullopt;
-}
+/// One node. A firing consumes the matched front lanes of every in-queue:
+/// with a stage, lane k of in-queue j is item j * lanes + k of the stage's
+/// window (typed stages read exactly one in-queue) and the stage's outputs
+/// are replicated onto every out-queue; without one (a synchronizer), the
+/// lanes of in-queue j forward to out-queue j. No out-queues make a sink.
+/// Every queue has at most one producer and exactly one consumer, except
+/// the arrival queue, which has no producer.
+struct EngineNode {
+  std::string name;
+  Cycles service_time = 0.0;
+  std::vector<std::size_t> in_queues;
+  std::vector<std::size_t> out_queues;
+  BatchStage stage;              ///< fn is null for a synchronizer
+  const char* span = "service";  ///< trace span of a consuming firing
+};
+
+struct EngineTopology {
+  std::vector<EngineNode> nodes;
+  std::vector<EngineQueue> queues;
+  std::size_t arrival_queue = 0;  ///< the source node's in-queue
+  std::uint32_t simd_width = 1;
+  /// Every node once, upstream before downstream: the order of the first
+  /// fire-starts, which same-time fire-starts of different nodes keep. It
+  /// matters only at the end of a run (a node that fires before its
+  /// upstream neighbour filters the last item takes one more empty firing),
+  /// and a topological order makes a linear graph replay its chain exactly.
+  std::vector<NodeIndex> fire_order;
+};
+
+/// Run-config validation, naming nodes by name. Returns the failure to
+/// propagate, or nullopt when the configuration is runnable.
+std::optional<util::Result<ExecutionMetrics>> validate_run_config(
+    const EngineTopology& topology, std::size_t input_count,
+    const ExecutorConfig& config);
+
+/// Replay the enforced-wait cadence over `topology` in virtual time. Exactly
+/// one of `typed_inputs` / `item_inputs` is set; it feeds the arrival queue,
+/// whose consumer must match its representation.
+util::Result<ExecutionMetrics> run_engine(const EngineTopology& topology,
+                                          const BatchInputs* typed_inputs,
+                                          std::vector<Item>* item_inputs,
+                                          const ExecutorConfig& config);
 
 }  // namespace ripple::runtime::detail

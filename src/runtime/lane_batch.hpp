@@ -71,6 +71,9 @@ struct LaneView {
   /// Per-lane type-erased payloads for adapter stages; null for typed
   /// stages. The stage may move from these (each lane is consumed once).
   Item* items = nullptr;
+  /// In-edges a lane draws from (graph merges; 1 elsewhere). Items are laid
+  /// out in-edge-major: lane k's item from in-edge j is items[j * lanes + k].
+  std::size_t fan_in = 1;
 };
 
 /// Collector for one firing's outputs: dense SoA columns (or items) plus the

@@ -14,7 +14,10 @@
 // (runtime/soa_queue.hpp), each firing hands its stage one dense batch of up
 // to v lanes (runtime/lane_batch.hpp), and stages with SIMD kernels (see
 // blast/simd_kernels.hpp, cascade/simd_kernels.hpp) process the whole batch
-// with AVX2 when src/device/dispatch.hpp reports support. Per-item StageFn
+// with AVX2 when src/device/dispatch.hpp reports support. PipelineExecutor
+// is a thin front-end: it describes the chain (queue i feeds node i, node i
+// feeds queue i+1) and runs it on the event loop it shares with
+// graph::GraphExecutor (runtime/executor_internal.hpp). Per-item StageFn
 // callers keep working through an adapter that wraps each scalar function in
 // a batch loop over std::any lanes; results and metrics are bit-identical to
 // the seed per-item engine, which survives as ReferenceExecutor (the golden
@@ -29,6 +32,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "runtime/lane_batch.hpp"
@@ -88,6 +92,10 @@ class BatchInputs {
   std::array<std::vector<std::uint32_t>, kMaxLaneFields> cols_;
 };
 
+namespace detail {
+struct EngineTopology;
+}  // namespace detail
+
 class PipelineExecutor {
  public:
   /// Classic interface: one StageFn per pipeline node, each adapted to the
@@ -100,6 +108,7 @@ class PipelineExecutor {
   /// Throws std::logic_error on arity or representation mismatch.
   PipelineExecutor(sdf::PipelineSpec spec, std::vector<BatchStage> stages);
 
+  ~PipelineExecutor();
   PipelineExecutor(const PipelineExecutor&) = delete;
   PipelineExecutor& operator=(const PipelineExecutor&) = delete;
 
@@ -122,12 +131,8 @@ class PipelineExecutor {
                                            const ExecutorConfig& config) const;
 
  private:
-  util::Result<ExecutionMetrics> execute(const BatchInputs* typed_inputs,
-                                         std::vector<Item>* item_inputs,
-                                         const ExecutorConfig& config) const;
-
   sdf::PipelineSpec pipeline_;
-  std::vector<BatchStage> stages_;
+  std::unique_ptr<const detail::EngineTopology> topology_;
 };
 
 }  // namespace ripple::runtime

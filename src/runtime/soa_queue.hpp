@@ -10,6 +10,7 @@
 // firings and runs, so steady state touches the allocator never.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -29,9 +30,12 @@ class SoaQueue {
     carries_items_ = carries_items;
     head_ = 0;
     size_ = 0;
+    high_water_ = 0;
   }
 
   std::size_t size() const noexcept { return size_; }
+  /// Largest size reached since configure().
+  std::size_t high_water() const noexcept { return high_water_; }
   bool empty() const noexcept { return size_ == 0; }
 
   void reserve(std::size_t capacity) {
@@ -45,7 +49,7 @@ class SoaQueue {
     const std::size_t slot = (head_ + size_) & mask_;
     for (std::size_t f = 0; f < field_count_; ++f) fields_[f][slot] = fields[f];
     roots_[slot] = root;
-    ++size_;
+    grow_size(1);
   }
 
   void push_item(Item item, RootId root) {
@@ -54,7 +58,7 @@ class SoaQueue {
     const std::size_t slot = (head_ + size_) & mask_;
     items_[slot] = std::move(item);
     roots_[slot] = root;
-    ++size_;
+    grow_size(1);
   }
 
   /// Append a completed firing's outputs: `emitter` holds them dense in lane
@@ -91,7 +95,7 @@ class SoaQueue {
         std::copy(src + first, src + n, ring);
       }
     }
-    size_ += n;
+    grow_size(n);
   }
 
   /// Expose the front `n` lanes as a dense window. Columns and roots point
@@ -159,6 +163,11 @@ class SoaQueue {
     return p;
   }
 
+  void grow_size(std::size_t n) {
+    size_ += n;
+    high_water_ = std::max(high_water_, size_);
+  }
+
   void ensure_room(std::size_t extra) {
     if (size_ + extra > capacity_) grow_to(round_up_pow2(size_ + extra));
   }
@@ -196,6 +205,7 @@ class SoaQueue {
   std::vector<RootId> roots_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
+  std::size_t high_water_ = 0;
   std::size_t capacity_ = 0;
   std::size_t mask_ = 0;
 };

@@ -4,24 +4,19 @@
 
 #include <any>
 #include <cstdint>
-#include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dist/gain.hpp"
+#include "execution_digest.hpp"
 #include "graph/scenarios.hpp"
-
-#if RIPPLE_OBS
-#include "obs/obs.hpp"
-#include "obs/trace_export.hpp"
-#endif
 
 namespace ripple::graph {
 namespace {
 
 using dist::make_deterministic;
+using golden::execution_digest;
 
 void expect_same_base(const sim::TrialMetrics& expected,
                       const sim::TrialMetrics& got) {
@@ -79,7 +74,6 @@ TEST(Golden, BranchingBlastVectorMatchesReference) {
   const GraphExecutorConfig config =
       scenario_config(scenario.graph, 1.25, 20.0);
   const GraphExecutor executor(scenario.graph, scenario.stages);
-  EXPECT_FALSE(executor.delegates_to_chain());
 
   auto vector_run = executor.run(scenario_inputs(400), config);
   ASSERT_TRUE(vector_run.ok()) << vector_run.error().message;
@@ -117,67 +111,12 @@ TEST(Golden, TelemetryFaninVectorMatchesReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden digests: the DAG engine's complete observable output, pinned to
-// values recorded from an earlier build. Any change to results, per-node
-// counters, latency accounting, or (on RIPPLE_OBS builds) the exported trace
-// bytes breaks the digest, so engine refactors must replay the event loop
-// exactly.
+// Golden digests: the engine's complete observable output on graph runs
+// (tests/execution_digest.hpp), pinned to values recorded from an earlier
+// build. Any change to results, per-node counters, latency accounting, or
+// (on RIPPLE_OBS builds) the exported trace bytes breaks the digest, so
+// engine refactors must replay the event loop exactly.
 // ---------------------------------------------------------------------------
-
-/// FNV-1a 64 over raw bytes.
-class Digest {
- public:
-  void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ = (hash_ ^ p[i]) * 0x100000001b3ull;
-    }
-  }
-  void u64(std::uint64_t x) { bytes(&x, sizeof x); }
-  void f64(double x) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &x, sizeof bits);
-    u64(bits);
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
-std::uint64_t execution_digest(const runtime::ExecutionMetrics& run) {
-  Digest d;
-  for (const Item& result : run.results) {
-    d.u64(std::any_cast<std::uint64_t>(result));
-  }
-  const sim::TrialMetrics& base = run.base;
-  for (const sim::NodeMetrics& node : base.nodes) {
-    d.u64(node.firings);
-    d.u64(node.empty_firings);
-    d.u64(node.items_consumed);
-    d.u64(node.items_produced);
-    d.f64(node.active_time);
-    d.u64(node.max_queue_length);
-  }
-  d.u64(base.inputs_arrived);
-  d.u64(base.inputs_on_time);
-  d.u64(base.inputs_missed);
-  d.u64(base.sink_outputs);
-  d.u64(base.output_latency.count());
-  d.f64(base.output_latency.mean());
-  d.f64(base.output_latency.variance());
-  d.f64(base.output_latency.min());
-  d.f64(base.output_latency.max());
-  EXPECT_TRUE(base.latency_histogram.has_value());
-  if (base.latency_histogram.has_value()) {
-    const dist::Histogram& hist = *base.latency_histogram;
-    for (std::size_t b = 0; b < hist.bin_count(); ++b) d.u64(hist.bin(b));
-  }
-  d.f64(base.makespan);
-  d.u64(base.vector_width);
-  d.u64(base.events_processed);
-  return d.value();
-}
 
 struct DigestCase {
   const char* label;
@@ -203,23 +142,12 @@ void expect_digests(GraphScenario scenario, const DigestCase& c) {
       << std::hex << "execution digest 0x" << execution_digest(run.value());
 
 #if RIPPLE_OBS
-  obs::TraceSession::global().clear();
-  obs::set_enabled(true);
-  auto traced = executor.run(scenario_inputs(c.inputs, c.seed), config);
-  obs::set_enabled(false);
-  ASSERT_TRUE(traced.ok()) << traced.error().message;
-  EXPECT_EQ(execution_digest(traced.value()), c.execution);
-  auto& session = obs::TraceSession::global();
-  const auto events = session.drain();
-  EXPECT_EQ(session.dropped(), 0u);
-  ASSERT_GT(events.size(), 0u);
-  std::ostringstream out;
-  obs::write_chrome_trace(out, events, session);
-  session.clear();
-  Digest d;
-  const std::string bytes = out.str();
-  d.bytes(bytes.data(), bytes.size());
-  EXPECT_EQ(d.value(), c.trace) << std::hex << "trace digest 0x" << d.value();
+  const std::uint64_t trace = golden::trace_digest([&] {
+    auto traced = executor.run(scenario_inputs(c.inputs, c.seed), config);
+    ASSERT_TRUE(traced.ok()) << traced.error().message;
+    EXPECT_EQ(execution_digest(traced.value()), c.execution);
+  });
+  EXPECT_EQ(trace, c.trace) << std::hex << "trace digest 0x" << trace;
 #endif
 }
 
@@ -247,7 +175,7 @@ TEST(GoldenDigest, TelemetryFaninMatchesRecordedDigests) {
   }
 }
 
-/// Small linear chain with real per-item stages, for the delegation tests.
+/// Small linear chain with real per-item stages.
 GraphScenario linear_scenario() {
   auto built = GraphBuilder("linear_hash")
                    .simd_width(16)
@@ -277,17 +205,82 @@ GraphScenario linear_scenario() {
 TEST(LinearDelegation, ChainRunMatchesReferenceOracle) {
   GraphScenario scenario = linear_scenario();
   const GraphExecutor executor(scenario.graph, scenario.stages);
-  EXPECT_TRUE(executor.delegates_to_chain());
 
   const GraphExecutorConfig config =
       scenario_config(scenario.graph, 1.5, 5.0, /*deadline=*/5000.0);
-  // run() goes through the lowered PipelineExecutor; run_reference() is the
-  // independent scalar engine. Equality proves the delegation mapping.
-  auto delegated = executor.run(scenario_inputs(250, 3), config);
-  ASSERT_TRUE(delegated.ok()) << delegated.error().message;
+  // run() goes through the shared vector engine; run_reference() is the
+  // independent scalar engine.
+  auto vector_run = executor.run(scenario_inputs(250, 3), config);
+  ASSERT_TRUE(vector_run.ok()) << vector_run.error().message;
   auto reference = executor.run_reference(scenario_inputs(250, 3), config);
   ASSERT_TRUE(reference.ok()) << reference.error().message;
-  expect_same_execution(reference.value(), delegated.value());
+  expect_same_execution(reference.value(), vector_run.value());
+}
+
+TEST(LinearDelegation, ReverseIndexedChainReplaysThePipeline) {
+  // Node indices against chain order: the sink is node 0. Same-time firings
+  // must still run upstream first, or the sink takes one more empty firing
+  // after the filter drops the last item.
+  auto built = GraphBuilder("reversed")
+                   .simd_width(4)
+                   .add_node("sink", NodeKind::kSiso, 10.0)
+                   .add_node("filter", NodeKind::kSiso, 10.0)
+                   .add_edge(1, 0, make_deterministic(1))
+                   .build();
+  ASSERT_TRUE(built.ok()) << built.error().message;
+  const auto keep_even = [](Item&& x, std::vector<Item>& out) {
+    if (std::any_cast<std::uint64_t>(x) % 2 == 0) out.push_back(std::move(x));
+  };
+  const auto forward = [](Item&& x, std::vector<Item>& out) {
+    out.push_back(std::move(x));
+  };
+  const GraphExecutor graph_executor(
+      built.value(),
+      {[forward](std::vector<Item>&& in, std::vector<Item>& out) {
+         forward(std::move(in[0]), out);
+       },
+       [keep_even](std::vector<Item>&& in, std::vector<Item>& out) {
+         keep_even(std::move(in[0]), out);
+       }});
+  auto lowered = built.value().lower_to_pipeline();
+  ASSERT_TRUE(lowered.ok()) << lowered.error().message;
+  const runtime::PipelineExecutor chain(std::move(lowered).take(),
+                                        {keep_even, forward});
+
+  GraphExecutorConfig config;
+  config.firing_intervals = {10.0, 10.0};
+  config.input_gap = 10.0;
+  const auto inputs = [] {
+    return std::vector<Item>{std::uint64_t{2}, std::uint64_t{1},
+                             std::uint64_t{3}};
+  };
+  auto graph_run = graph_executor.run(inputs(), config);
+  ASSERT_TRUE(graph_run.ok()) << graph_run.error().message;
+  auto chain_run = chain.run(inputs(), config);
+  ASSERT_TRUE(chain_run.ok()) << chain_run.error().message;
+  runtime::ExecutionMetrics expected = chain_run.value();
+  expected.base.nodes = {chain_run.value().base.nodes[1],
+                         chain_run.value().base.nodes[0]};
+  expect_same_execution(expected, graph_run.value());
+  auto reference = graph_executor.run_reference(inputs(), config);
+  ASSERT_TRUE(reference.ok()) << reference.error().message;
+  expect_same_execution(reference.value(), graph_run.value());
+}
+
+TEST(GoldenDigest, LinearGraphMatchesRecordedDigest) {
+  // Execution digest only: a linear graph's trace carries the graph engine's
+  // span and counter names.
+  GraphScenario scenario = linear_scenario();
+  const GraphExecutor executor(scenario.graph, scenario.stages);
+  const GraphExecutorConfig config =
+      scenario_config(scenario.graph, 1.1, 3.0, /*deadline=*/150.0);
+  auto run = executor.run(scenario_inputs(300, 21), config);
+  ASSERT_TRUE(run.ok()) << run.error().message;
+  EXPECT_GT(run.value().base.inputs_missed, 0u);
+  EXPECT_LT(run.value().base.inputs_missed, 300u);
+  const std::uint64_t digest = execution_digest(run.value());
+  EXPECT_EQ(digest, 0x96b3b0d405abc24eull)
+      << std::hex << "execution digest 0x" << digest;
 }
 
 TEST(Errors, StageExceptionNamesTheNode) {

@@ -1,11 +1,13 @@
 // The vector-wide executor against the seed per-item engine: golden
 // equivalence on the real mini-BLAST pipeline (typed batch path and adapter
 // path, under both pinned dispatch levels), config-validation regressions,
-// and the adapter's throw-mid-batch contract.
+// the adapter's throw-mid-batch contract, and recorded golden digests of
+// the chain engine's complete observable output.
 #include <gtest/gtest.h>
 
 #include <any>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "device/dispatch.hpp"
 #include "dist/gain.hpp"
 #include "dist/rng.hpp"
+#include "execution_digest.hpp"
 #include "runtime/pipeline_executor.hpp"
 #include "runtime/reference_executor.hpp"
 #include "sdf/pipeline.hpp"
@@ -380,6 +383,103 @@ TEST(BatchExecutorThrow, ExecutorSurfacesStageExceptionAndStaysUsable) {
     EXPECT_EQ(std::any_cast<int>(clean.value().results[i]),
               2 * static_cast<int>(i + 1));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Chain golden digests: results, every NodeMetrics field, latency stats and
+// histogram, miss/on-time counts and makespan (plus the exported trace bytes
+// on RIPPLE_OBS builds) of mini-BLAST chain runs, pinned to values recorded
+// from an earlier build like the DAG digests in test_graph_executor.
+// ---------------------------------------------------------------------------
+
+/// Mini-BLAST chain with pinned service times: a measured spec varies from
+/// run to run, so it cannot back a recorded digest. The gain models are
+/// placeholders; the executor's gains come from the stage computations.
+sdf::PipelineSpec fixed_blast_spec() {
+  return sdf::PipelineBuilder("blast_fixed")
+      .simd_width(32)
+      .add_node("seed_filter", 8.0, dist::make_deterministic(1))
+      .add_node("seed_expand", 24.0, dist::make_deterministic(1))
+      .add_node("ungapped", 16.0, dist::make_deterministic(1))
+      .add_node("gapped", 40.0, nullptr)
+      .build()
+      .take();
+}
+
+void digest_alignment(golden::Digest& d, const Item& result) {
+  const auto alignment = std::any_cast<blast::Alignment>(result);
+  d.u64(alignment.subject_pos);
+  d.u64(alignment.query_pos);
+  d.u64(field_from_i32(alignment.score));
+}
+
+struct ChainDigestHarness {
+  blast::SequencePair pair = BlastHarness::make_pair();
+  blast::BlastStages::Config stage_config;
+  blast::BlastStages stages{pair, stage_config};
+  sdf::PipelineSpec spec = fixed_blast_spec();
+};
+
+void expect_chain_digests(
+    const std::function<util::Result<ExecutionMetrics>()>& run,
+    std::size_t inputs, std::uint64_t execution, std::uint64_t trace) {
+  const auto got = run();
+  ASSERT_TRUE(got.ok()) << got.error().message;
+  EXPECT_GT(got.value().base.inputs_missed, 0u);
+  EXPECT_LT(got.value().base.inputs_missed, inputs);
+  const std::uint64_t digest =
+      golden::execution_digest(got.value(), digest_alignment);
+  EXPECT_EQ(digest, execution) << std::hex << "execution digest 0x" << digest;
+#if RIPPLE_OBS
+  const std::uint64_t traced = golden::trace_digest([&] {
+    const auto again = run();
+    ASSERT_TRUE(again.ok()) << again.error().message;
+    EXPECT_EQ(golden::execution_digest(again.value(), digest_alignment),
+              execution);
+  });
+  EXPECT_EQ(traced, trace) << std::hex << "trace digest 0x" << traced;
+#else
+  (void)trace;
+#endif
+}
+
+TEST(GoldenDigest, ChainTypedBlastMatchesRecordedDigests) {
+  const ChainDigestHarness h;
+  const PipelineExecutor engine(h.spec, blast::make_batch_stages(h.stages));
+  constexpr std::size_t kWindows = 4000;
+  const BatchInputs inputs = blast::make_batch_inputs(h.stages, kWindows);
+  ExecutorConfig config;
+  config.firing_intervals = {96.0, 48.0, 64.0, 160.0};
+  config.input_gap = 3.0;
+  config.deadline = 360.0;
+  config.max_collected_results = 1 << 20;
+  expect_chain_digests([&] { return engine.run_batch(inputs, config); },
+                       kWindows, 0x7df54abb4cb21ce3ull, 0x950fd571e59d1a94ull);
+}
+
+TEST(GoldenDigest, ChainAdapterGapsMatchRecordedDigests) {
+  // The service's call shape: per-item stages through the adapter, one
+  // irregular gap per input, a deadline some roots miss.
+  const ChainDigestHarness h;
+  const PipelineExecutor engine(h.spec, blast::make_item_stages(h.stages));
+  constexpr std::size_t kWindows = 3000;
+  ExecutorConfig config;
+  config.firing_intervals = {96.0, 48.0, 64.0, 160.0};
+  config.deadline = 360.0;
+  config.max_collected_results = 1 << 20;
+  for (std::size_t i = 0; i < kWindows; ++i) {
+    config.input_gaps.push_back(i % 7 == 0 ? 40.0 : 0.5 + 0.25 * (i % 3));
+  }
+  const auto inputs = [&] {
+    std::vector<Item> items;
+    for (std::size_t w = 0; w < kWindows; ++w) {
+      items.emplace_back(
+          static_cast<std::uint32_t>(w % h.stages.input_count()));
+    }
+    return items;
+  };
+  expect_chain_digests([&] { return engine.run(inputs(), config); }, kWindows,
+                       0xc76504523b919906ull, 0x2df77af6dde25e85ull);
 }
 
 }  // namespace
